@@ -21,6 +21,7 @@ type expander struct {
 	marked    *bitset.Set // children marked redundant by earlier unions
 	appendBuf []int32
 	childBuf  []int32        // reused child-prefix buffer
+	blockBuf  []int32        // reused block buffer for Iterator.NextBlock
 	it        slist.Iterator // reused list iterator
 }
 
@@ -48,16 +49,20 @@ func (e *engine) loadChildren(v int32, exp *expander) ([]int32, error) {
 	it := &exp.it
 	it.Reset(e.store, v)
 	for int32(len(children)) < k {
-		c, ok := it.Next()
-		if !ok {
+		var ok bool
+		if children, ok = it.NextBlock(children); !ok {
 			break
 		}
-		e.met.SuccessorsFetched++
-		children = append(children, c)
+	}
+	it.Close()
+	if int32(len(children)) > k {
+		children = children[:k]
+	}
+	e.met.SuccessorsFetched += int64(len(children))
+	for _, c := range children {
 		exp.member.Add(c)
 		exp.childSet.Add(c)
 	}
-	it.Close()
 	exp.childBuf = children
 	return children, it.Err()
 }
@@ -74,20 +79,23 @@ func (e *engine) unionInto(v, j int32, exp *expander) error {
 	it := &exp.it
 	it.Reset(e.store, j)
 	for {
-		u, ok := it.Next()
+		blk, ok := it.NextBlock(exp.blockBuf[:0])
+		exp.blockBuf = blk
 		if !ok {
 			break
 		}
-		e.met.SuccessorsFetched++
-		e.met.TuplesGenerated++
-		if exp.childSet.Has(u) {
-			exp.marked.Add(u)
+		e.met.SuccessorsFetched += int64(len(blk))
+		e.met.TuplesGenerated += int64(len(blk))
+		for _, u := range blk {
+			if exp.childSet.Has(u) {
+				exp.marked.Add(u)
+			}
+			if exp.member.TestAndAdd(u) {
+				e.met.Duplicates++
+				continue
+			}
+			exp.appendBuf = append(exp.appendBuf, u)
 		}
-		if exp.member.TestAndAdd(u) {
-			e.met.Duplicates++
-			continue
-		}
-		exp.appendBuf = append(exp.appendBuf, u)
 	}
 	it.Close()
 	if err := it.Err(); err != nil {

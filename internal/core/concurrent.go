@@ -70,9 +70,10 @@ func (t *tempTracker) View(f pagedisk.FileID, p pagedisk.PageID) (*pagedisk.Page
 
 var _ pagedisk.ReadOnlyViewer = (*tempTracker)(nil)
 
-// release truncates every file the tracker's query created. Storage is
-// reclaimed immediately; the (now empty) catalog entries remain, as the
-// simulated disk never reuses file IDs.
+// release truncates every file the tracker's query created. Their pages
+// go to the disk's free list, where later allocations reuse them; the
+// (now empty) catalog entries remain, as the simulated disk never reuses
+// file IDs.
 func (t *tempTracker) release() {
 	for _, id := range t.owned {
 		t.Store.Truncate(id)

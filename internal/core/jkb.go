@@ -105,6 +105,7 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 	present := make(map[int32]int32) // node -> parent, tree under construction
 	var ordered []treeNode
 	var predBuf []int32
+	var treeBuf []int32 // one predecessor tree, as (node, parent) pairs
 	var flat []int32
 	var it, tit slist.Iterator // reused across the hot loop
 
@@ -117,18 +118,14 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 		// Read x's immediate predecessors (stored nearest-first).
 		predBuf = predBuf[:0]
 		it.Reset(preds, x)
-		for {
-			p, ok := it.Next()
-			if !ok {
-				break
-			}
-			e.met.SuccessorsFetched++
-			predBuf = append(predBuf, p)
+		for ok := true; ok; {
+			predBuf, ok = it.NextBlock(predBuf)
 		}
 		it.Close()
 		if err := it.Err(); err != nil {
 			return err
 		}
+		e.met.SuccessorsFetched += int64(len(predBuf))
 
 		for _, p := range predBuf {
 			e.met.ArcsConsidered++
@@ -154,19 +151,24 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 					e.met.Duplicates++
 				}
 			}
+			// A pair may straddle two blocks, so the tree is read whole
+			// before its pairs are merged.
+			treeBuf = treeBuf[:0]
 			tit.Reset(trees, p)
-			for {
-				u, ok := tit.Next()
-				if !ok {
-					break
-				}
-				par, ok := tit.Next()
-				if !ok {
-					tit.Close()
-					return errMalformedTree(p)
-				}
-				e.met.SuccessorsFetched += 2
-				e.met.TuplesGenerated++
+			for ok := true; ok; {
+				treeBuf, ok = tit.NextBlock(treeBuf)
+			}
+			tit.Close()
+			if err := tit.Err(); err != nil {
+				return err
+			}
+			if len(treeBuf)%2 != 0 {
+				return errMalformedTree(p)
+			}
+			e.met.SuccessorsFetched += int64(len(treeBuf))
+			e.met.TuplesGenerated += int64(len(treeBuf) / 2)
+			for i := 0; i < len(treeBuf); i += 2 {
+				u, par := treeBuf[i], treeBuf[i+1]
 				if par == 0 && rooted {
 					par = p
 				}
@@ -176,10 +178,6 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 				}
 				present[u] = par
 				ordered = append(ordered, treeNode{node: u, parent: par})
-			}
-			tit.Close()
-			if err := tit.Err(); err != nil {
-				return err
 			}
 		}
 

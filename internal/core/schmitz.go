@@ -210,6 +210,7 @@ func (e *engine) runSchmitz() error {
 				return external[a] < external[b]
 			})
 			var it slist.Iterator // reused across the child unions
+			var blockBuf []int32
 			for _, c := range external {
 				e.met.ArcsConsidered++
 				if !e.cfg.DisableMarking && marked.Has(c) {
@@ -221,16 +222,18 @@ func (e *engine) runSchmitz() error {
 				add(c)
 				it.Reset(store, comp[c])
 				for {
-					u, ok := it.Next()
-					if !ok {
+					var ok bool
+					if blockBuf, ok = it.NextBlock(blockBuf[:0]); !ok {
 						break
 					}
-					e.met.SuccessorsFetched++
-					e.met.TuplesGenerated++
-					if childSet.Has(u) {
-						marked.Add(u)
+					e.met.SuccessorsFetched += int64(len(blockBuf))
+					e.met.TuplesGenerated += int64(len(blockBuf))
+					for _, u := range blockBuf {
+						if childSet.Has(u) {
+							marked.Add(u)
+						}
+						add(u)
 					}
-					add(u)
 				}
 				it.Close()
 				if err := it.Err(); err != nil {

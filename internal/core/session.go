@@ -84,7 +84,7 @@ func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 		return nil, err
 	}
 	// Release this query's temporary files: drop their buffered pages,
-	// then their storage.
+	// then hand their storage to the disk's free list for reuse.
 	for id := baseFiles; id < s.db.disk.NumFiles(); id++ {
 		s.pool.DiscardFile(pagedisk.FileID(id))
 		s.db.disk.Truncate(pagedisk.FileID(id))

@@ -39,17 +39,23 @@ func (e *engine) loadTreeChildren(v int32, exp *treeExpander) ([]int32, error) {
 	it := &exp.it
 	it.Reset(e.store, v)
 	for int32(len(children)) < k {
-		c, ok := it.Next()
+		blk, ok := it.NextBlock(exp.blockBuf[:0])
+		exp.blockBuf = blk
 		if !ok {
 			break
 		}
-		e.met.SuccessorsFetched++
-		if c < 0 { // the root marker -v
-			continue
+		for _, c := range blk {
+			if int32(len(children)) == k {
+				break
+			}
+			e.met.SuccessorsFetched++
+			if c < 0 { // the root marker -v
+				continue
+			}
+			children = append(children, c)
+			exp.member.Add(c)
+			exp.childSet.Add(c)
 		}
-		children = append(children, c)
-		exp.member.Add(c)
-		exp.childSet.Add(c)
 	}
 	it.Close()
 	exp.childBuf = children
@@ -69,42 +75,45 @@ func (e *engine) unionTree(v, j int32, exp *treeExpander) error {
 	groupOpen := false  // a group marker was emitted to appendBuf
 	var curParent int32 // parent of the group being read
 	for {
-		raw, ok := it.Next()
+		blk, ok := it.NextBlock(exp.blockBuf[:0])
+		exp.blockBuf = blk
 		if !ok {
 			break
 		}
-		if raw < 0 {
-			// New group. Skip it if the parent's subtree was already
-			// present before this union began (the paper's "no need to
-			// read any successors of j in S_g" saving).
-			curParent = -raw
-			skipping = exp.complete.Has(curParent)
-			if !skipping {
-				exp.touched = append(exp.touched, curParent)
+		for _, raw := range blk {
+			if raw < 0 {
+				// New group. Skip it if the parent's subtree was already
+				// present before this union began (the paper's "no need
+				// to read any successors of j in S_g" saving).
+				curParent = -raw
+				skipping = exp.complete.Has(curParent)
+				if !skipping {
+					exp.touched = append(exp.touched, curParent)
+				}
+				groupOpen = false
+				continue
 			}
-			groupOpen = false
-			continue
+			if skipping {
+				continue // scanned past, not fetched: no tuple I/O counted
+			}
+			e.met.SuccessorsFetched++
+			e.met.TuplesGenerated++
+			u := raw
+			if exp.childSet.Has(u) {
+				exp.marked.Add(u)
+			}
+			exp.touched = append(exp.touched, u)
+			if exp.member.TestAndAdd(u) {
+				e.met.Duplicates++
+				continue
+			}
+			e.posCount[v]++
+			if !groupOpen {
+				exp.appendBuf = append(exp.appendBuf, -curParent)
+				groupOpen = true
+			}
+			exp.appendBuf = append(exp.appendBuf, u)
 		}
-		if skipping {
-			continue // scanned past, not fetched: no tuple I/O counted
-		}
-		e.met.SuccessorsFetched++
-		e.met.TuplesGenerated++
-		u := raw
-		if exp.childSet.Has(u) {
-			exp.marked.Add(u)
-		}
-		exp.touched = append(exp.touched, u)
-		if exp.member.TestAndAdd(u) {
-			e.met.Duplicates++
-			continue
-		}
-		e.posCount[v]++
-		if !groupOpen {
-			exp.appendBuf = append(exp.appendBuf, -curParent)
-			groupOpen = true
-		}
-		exp.appendBuf = append(exp.appendBuf, u)
 	}
 	it.Close()
 	if err := it.Err(); err != nil {

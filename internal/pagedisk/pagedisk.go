@@ -9,8 +9,10 @@
 // The disk is safe for concurrent use and designed so that adding cores
 // adds throughput:
 //
-//   - the catalog (the file table) is guarded by one RWMutex that is only
-//     write-locked when a file is created;
+//   - the catalog (the file table) is read lock-free: CreateFile and
+//     snapshot loading publish an immutable snapshot of the table through
+//     an atomic pointer, under a plain mutex that only they take, so
+//     resolving a file for page I/O never writes shared memory;
 //   - each file carries its own lock (lock striping), so queries touching
 //     different files — which is the common case: every query owns its
 //     temporary files exclusively — never contend;
@@ -18,7 +20,11 @@
 //     is immutable: reads take no lock at all, and the View method hands
 //     out stable zero-copy pointers into the shared page storage, which
 //     the buffer pool uses to pin base-relation pages without copying;
-//   - I/O counters are atomics, so accounting never serializes readers.
+//   - I/O counters are atomics, so accounting never serializes readers;
+//   - Truncate returns a temporary file's pages to a disk-level free list
+//     and Allocate reuses them, zeroed, so a long-running server holds at
+//     most its peak of concurrently live temporary pages rather than every
+//     page any query ever wrote.
 //
 // Each individual query engine remains single-threaded, as the paper's was.
 package pagedisk
@@ -147,8 +153,19 @@ type file struct {
 
 // Disk is a simulated multi-file disk.
 type Disk struct {
-	mu    sync.RWMutex // catalog lock: guards the files slice itself
-	files []*file
+	// files is the catalog, appended to only under mu. Readers never take
+	// mu: they load catalog, a snapshot of files published after every
+	// append. A snapshot's elements are never rewritten (appends land past
+	// its length), so it stays valid without a lock.
+	mu      sync.Mutex
+	files   []*file
+	catalog atomic.Pointer[[]*file]
+
+	// free holds the pages of truncated temporary files for reuse by
+	// Allocate. Sealed files never donate pages: View hands out pointers
+	// into them for the life of the disk.
+	freeMu sync.Mutex
+	free   []*Page
 
 	reads  atomic.Int64
 	writes atomic.Int64
@@ -173,22 +190,36 @@ func New() *Disk {
 // CreateFile adds a new, empty file and returns its ID. The name is used
 // only for diagnostics.
 func (d *Disk) CreateFile(name string) FileID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.files = append(d.files, &file{name: name})
-	return FileID(len(d.files) - 1)
+	return d.addFile(&file{name: name})
 }
 
-// lookup resolves a FileID to its striped file under the catalog read lock.
-// The returned pointer stays valid after the lock is released: files are
-// never removed and the structs are heap-allocated.
+// addFile appends fl to the catalog and publishes the new snapshot.
+func (d *Disk) addFile(fl *file) FileID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.files = append(d.files, fl)
+	snap := d.files
+	d.catalog.Store(&snap)
+	return FileID(len(snap) - 1)
+}
+
+// snapshot returns the current catalog without taking a lock.
+func (d *Disk) snapshot() []*file {
+	if snap := d.catalog.Load(); snap != nil {
+		return *snap
+	}
+	return nil
+}
+
+// lookup resolves a FileID to its striped file from the catalog snapshot.
+// The returned pointer stays valid: files are never removed and the
+// structs are heap-allocated.
 func (d *Disk) lookup(f FileID) (*file, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(f) < 0 || int(f) >= len(d.files) {
+	files := d.snapshot()
+	if int(f) < 0 || int(f) >= len(files) {
 		return nil, fmt.Errorf("pagedisk: no such file %d", f)
 	}
-	return d.files[f], nil
+	return files[f], nil
 }
 
 // mustLookup is lookup for the methods whose signatures predate error
@@ -208,9 +239,7 @@ func (d *Disk) FileName(f FileID) string {
 
 // NumFiles reports the number of files on the disk.
 func (d *Disk) NumFiles() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.files)
+	return len(d.snapshot())
 }
 
 // NumPages reports the current length of a file in pages.
@@ -236,23 +265,49 @@ func (d *Disk) Allocate(f FileID) (PageID, error) {
 	if fl.sealed.Load() {
 		return InvalidPage, fmt.Errorf("pagedisk: allocate on sealed file %q: %w", fl.name, ErrSealed)
 	}
+	pg := d.takeFree()
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	fl.pages = append(fl.pages, new(Page))
+	fl.pages = append(fl.pages, pg)
 	d.allocs.Add(1)
 	return PageID(len(fl.pages) - 1), nil
 }
 
-// Truncate discards all pages of a file. It models dropping a temporary
-// file; no I/O is charged. Truncating a sealed file is a programming error.
+// takeFree returns a zeroed page, recycled from the free list when it has
+// one.
+func (d *Disk) takeFree() *Page {
+	d.freeMu.Lock()
+	n := len(d.free)
+	if n == 0 {
+		d.freeMu.Unlock()
+		return new(Page)
+	}
+	pg := d.free[n-1]
+	d.free[n-1] = nil
+	d.free = d.free[:n-1]
+	d.freeMu.Unlock()
+	*pg = Page{}
+	return pg
+}
+
+// Truncate discards all pages of a file, handing them to the disk's free
+// list for Allocate to reuse. It models dropping a temporary file; no I/O
+// is charged. Truncating a sealed file is a programming error.
 func (d *Disk) Truncate(f FileID) {
 	fl := d.mustLookup(f)
 	if fl.sealed.Load() {
 		panic(fmt.Sprintf("pagedisk: truncate of sealed file %q", fl.name))
 	}
 	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	fl.pages = fl.pages[:0]
+	pages := fl.pages
+	fl.pages = nil
+	fl.mu.Unlock()
+	if len(pages) == 0 {
+		return
+	}
+	d.freeMu.Lock()
+	d.free = append(d.free, pages...)
+	d.freeMu.Unlock()
 }
 
 // Seal marks file f immutable. From this point its pages can be read with
@@ -266,10 +321,7 @@ func (d *Disk) Seal(f FileID) {
 // SealAll seals every file currently on the disk — the "database is built,
 // serving starts now" transition.
 func (d *Disk) SealAll() {
-	d.mu.RLock()
-	files := d.files
-	d.mu.RUnlock()
-	for _, fl := range files {
+	for _, fl := range d.snapshot() {
 		fl.sealed.Store(true)
 	}
 }

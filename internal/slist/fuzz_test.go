@@ -78,8 +78,8 @@ func FuzzStoreOps(f *testing.F) {
 // FuzzIteratorCorruptChain points a list head at an arbitrary page image
 // and block index, then walks it. The iterator's contract under corruption
 // is: terminate, report an error or a bounded result, never panic, never
-// leak a pin. Seeds cover a well-formed block, a self-referential cycle
-// and an oversized entry count.
+// leak a pin. Seeds cover a well-formed block, self-referential cycles
+// through a partly filled and a full block, and an oversized entry count.
 func FuzzIteratorCorruptChain(f *testing.F) {
 	var pg pagedisk.Page
 	claimBlock(&pg, 0, 1)
@@ -89,6 +89,8 @@ func FuzzIteratorCorruptChain(f *testing.F) {
 	}
 	f.Add(append([]byte(nil), pg[:]...), int16(0))
 	setBlockNext(&pg, 0, Ref{Page: 0, Blk: 0}) // cycle
+	f.Add(append([]byte(nil), pg[:]...), int16(0))
+	setBlockUsed(&pg, 0, BlockEntries) // cycle through a full block
 	f.Add(append([]byte(nil), pg[:]...), int16(0))
 	setBlockUsed(&pg, 0, 200) // used beyond block capacity
 	f.Add(append([]byte(nil), pg[:]...), int16(0))
@@ -128,5 +130,74 @@ func FuzzIteratorCorruptChain(f *testing.F) {
 		if pool.PinnedFrames() != 0 {
 			t.Fatal("pins leaked on corrupt chain")
 		}
+		// Next and NextBlock share one block walk: over the same corrupt
+		// chain they must yield the same entries and the same error.
+		byEntry, errEntry := walkNext(s, 0)
+		byBlock, errBlock := walkBlocks(t, s, 0)
+		if !sameErr(errEntry, errBlock) {
+			t.Fatalf("Next ended with %v, NextBlock with %v", errEntry, errBlock)
+		}
+		if !equalInt32s(byEntry, byBlock) {
+			t.Fatalf("Next yielded %d entries, NextBlock %d, or they differ", len(byEntry), len(byBlock))
+		}
+		if pool.PinnedFrames() != 0 {
+			t.Fatal("pins leaked on corrupt chain")
+		}
 	})
+}
+
+// walkNext reads list id entry by entry.
+func walkNext(s *Store, id int32) ([]int32, error) {
+	var it Iterator
+	it.Reset(s, id)
+	var out []int32
+	for {
+		v, ok := it.Next()
+		if !ok {
+			break
+		}
+		out = append(out, v)
+	}
+	it.Close()
+	return out, it.Err()
+}
+
+// walkBlocks reads list id a block at a time, checking that every block
+// it yields is non-empty and within the block capacity.
+func walkBlocks(t *testing.T, s *Store, id int32) ([]int32, error) {
+	t.Helper()
+	var it Iterator
+	it.Reset(s, id)
+	var out, blk []int32
+	for {
+		var ok bool
+		if blk, ok = it.NextBlock(blk[:0]); !ok {
+			break
+		}
+		if len(blk) == 0 || len(blk) > BlockEntries {
+			t.Fatalf("NextBlock yielded a block of %d entries", len(blk))
+		}
+		out = append(out, blk...)
+	}
+	it.Close()
+	return out, it.Err()
+}
+
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+func equalInt32s(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

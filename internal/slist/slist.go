@@ -26,6 +26,7 @@ package slist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tcstudy/internal/buffer"
 	"tcstudy/internal/pagedisk"
@@ -401,12 +402,8 @@ func (s *Store) relocate(id int32) error {
 	vals := s.relocScratch[:0]
 	var it Iterator
 	it.Reset(s, id)
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		vals = append(vals, v)
+	for ok := true; ok; {
+		vals, ok = it.NextBlock(vals)
 	}
 	it.Close()
 	s.relocScratch = vals
@@ -514,7 +511,9 @@ func (s *Store) Clear(id int32) error {
 // --- read path -----------------------------------------------------------
 
 // Iterator walks one list front to back, holding at most one page pinned.
-// Callers must Close it and should check Err.
+// Callers must Close it and should check Err. Next yields one entry at a
+// time; NextBlock yields a block's worth. Both run on the same block walk,
+// so they touch the same pages in the same order and may be mixed.
 //
 // The iterator is defensive about on-page state: a corrupt chain (block
 // index outside the page layout, an entry count exceeding the block size,
@@ -524,9 +523,17 @@ func (s *Store) Clear(id int32) error {
 // snapshot may have corrupted, so the read path cannot trust them.
 type Iterator struct {
 	s      *Store
-	cur    Ref
-	idx    int
-	steps  int // blocks visited, bounds the walk against cyclic chains
+	cur    Ref  // block being read
+	loaded bool // cur is validated, its page pinned and used read
+	idx    int  // next unread entry of cur
+	used   int  // entries in cur
+	steps  int  // blocks entered, bounds the walk against cyclic chains
+	// bound caches the cycle bound NumPages*BlocksPerPage, the number of
+	// blocks in the file. The file only grows while lists are read, so a
+	// cached bound never exceeds the current one; it is re-read only when
+	// steps passes it, which keeps the check exact without a catalog call
+	// per block.
+	bound  int
 	h      buffer.Handle
 	pinned pagedisk.PageID
 	err    error
@@ -546,60 +553,100 @@ func (s *Store) NewIterator(id int32) *Iterator {
 // zero-value Iterator may be Reset directly; after Reset the iterator is
 // exactly as fresh as one from NewIterator.
 func (it *Iterator) Reset(s *Store, id int32) {
+	bound := 0
 	if it.s != nil {
 		it.release()
+		if it.s == s {
+			bound = it.bound
+		}
 	}
 	s.clock++
 	s.lastUse[id] = s.clock
-	*it = Iterator{s: s, cur: s.head[id], pinned: pagedisk.InvalidPage}
+	*it = Iterator{s: s, cur: s.head[id], bound: bound, pinned: pagedisk.InvalidPage}
 }
 
-// Next returns the next entry. ok is false at the end of the list or on
-// error (check Err).
-func (it *Iterator) Next() (v int32, ok bool) {
+// fill positions the walk on a block with unread entries, pinning its
+// page. It reports false at the end of the list or on error (see Err).
+// Every corruption check of the read path lives here.
+func (it *Iterator) fill() bool {
 	for {
-		if !it.cur.valid() || it.err != nil {
+		if it.err != nil {
 			it.release()
-			return 0, false
+			return false
+		}
+		if it.loaded {
+			if it.idx < it.used {
+				return true
+			}
+			it.cur = blockNext(it.h.Data(), it.cur.Blk)
+			it.idx, it.loaded = 0, false
+		}
+		if !it.cur.valid() {
+			it.release()
+			return false
 		}
 		if it.cur.Blk < 0 || it.cur.Blk >= BlocksPerPage {
 			it.err = fmt.Errorf("slist: corrupt chain: block index %d outside page layout", it.cur.Blk)
-			it.release()
-			return 0, false
+			continue
 		}
 		if it.pinned != it.cur.Page {
 			it.release()
 			h, err := it.s.pool.Get(it.s.file, it.cur.Page)
 			if err != nil {
 				it.err = err
-				return 0, false
+				return false
 			}
 			it.h = h
 			it.pinned = it.cur.Page
 		}
-		pg := it.h.Data()
-		used := blockUsed(pg, it.cur.Blk)
+		// A well-formed chain enters each block at most once; entering
+		// more blocks than the file holds proves a next-pointer cycle.
+		if it.steps++; it.steps > it.bound {
+			it.bound = it.s.pool.Disk().NumPages(it.s.file) * BlocksPerPage
+			if it.steps > it.bound {
+				it.err = fmt.Errorf("slist: corrupt chain: next-pointer cycle after %d blocks", it.steps-1)
+				continue
+			}
+		}
+		used := blockUsed(it.h.Data(), it.cur.Blk)
 		if used > BlockEntries {
 			it.err = fmt.Errorf("slist: corrupt block %d on page %d: %d entries used, capacity %d",
 				it.cur.Blk, it.cur.Page, used, BlockEntries)
-			it.release()
-			return 0, false
+			continue
 		}
-		if it.idx < used {
-			v = blockEntry(pg, it.cur.Blk, it.idx)
-			it.idx++
-			return v, true
-		}
-		// A well-formed chain visits each block at most once; a walk longer
-		// than every block in the file is a next-pointer cycle.
-		if it.steps++; it.steps > (it.s.pool.Disk().NumPages(it.s.file)+1)*BlocksPerPage {
-			it.err = fmt.Errorf("slist: corrupt chain: next-pointer cycle after %d blocks", it.steps)
-			it.release()
-			return 0, false
-		}
-		it.cur = blockNext(pg, it.cur.Blk)
-		it.idx = 0
+		it.used, it.loaded = used, true
 	}
+}
+
+// Next returns the next entry. ok is false at the end of the list or on
+// error (check Err).
+func (it *Iterator) Next() (v int32, ok bool) {
+	if !it.fill() {
+		return 0, false
+	}
+	v = blockEntry(it.h.Data(), it.cur.Blk, it.idx)
+	it.idx++
+	return v, true
+}
+
+// NextBlock appends the unread entries of the current block to dst (a
+// whole block, unless Next has consumed part of it) and returns the
+// extended slice. ok is false, and dst is returned unchanged, at the end of
+// the list or on error (check Err). Empty blocks are walked past, so ok
+// means at least one entry was appended.
+func (it *Iterator) NextBlock(dst []int32) ([]int32, bool) {
+	if !it.fill() {
+		return dst, false
+	}
+	off := blockOff(it.cur.Blk)
+	src := it.h.Data()[off+4*it.idx : off+4*it.used]
+	n := len(dst)
+	dst = slices.Grow(dst, it.used-it.idx)[:n+it.used-it.idx]
+	for i, out := 0, dst[n:]; i < len(out); i++ {
+		out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	it.idx = it.used
+	return dst, true
 }
 
 // Err reports the first error the iterator encountered, if any.
@@ -619,12 +666,8 @@ func (it *Iterator) Close() { it.release() }
 func (s *Store) ReadAll(id int32) ([]int32, error) {
 	out := make([]int32, 0, s.length[id])
 	it := s.NewIterator(id)
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, v)
+	for ok := true; ok; {
+		out, ok = it.NextBlock(out)
 	}
 	it.Close()
 	return out, it.Err()

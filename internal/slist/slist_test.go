@@ -404,3 +404,77 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// buildRandomStore applies a FuzzStoreOps-style tape drawn from seed —
+// appends of short and long runs (the long ones force overflow pages),
+// clears, and interleaving that forces page splits — to a store over a
+// tiny pool. The same seed always builds the same store.
+func buildRandomStore(t *testing.T, seed int64, nLists int) (*Store, *pagedisk.Disk) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d := pagedisk.New()
+	pol, _ := buffer.NewPolicy("lru", 4)
+	pool := buffer.New(d, 4, pol)
+	lp, _ := NewListPolicy(ListPolicyNames()[rng.Intn(len(ListPolicyNames()))])
+	s := NewStore(pool, "p", nLists, lp)
+	for i := 0; i < 400; i++ {
+		id := int32(rng.Intn(nLists))
+		switch op := rng.Intn(20); {
+		case op == 0:
+			if err := s.Clear(id); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			run := rng.Intn(20) + 1
+			if op == 1 {
+				run = rng.Intn(600) + 1
+			}
+			vals := make([]int32, run)
+			for j := range vals {
+				vals[j] = int32(rng.Intn(1<<20)) - 1<<19
+			}
+			if err := s.AppendAll(id, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s, d
+}
+
+// TestNextBlockMatchesNext pins that NextBlock is Next a block at a time:
+// on random stores with splits and overflow pages, the concatenated blocks
+// equal the entry sequence, and both walks cost the same page I/O.
+func TestNextBlockMatchesNext(t *testing.T) {
+	const nLists = 12
+	var splits, overflows int64
+	for seed := int64(1); seed <= 30; seed++ {
+		byEntry, dEntry := buildRandomStore(t, seed, nLists)
+		byBlock, dBlock := buildRandomStore(t, seed, nLists)
+		splits += byEntry.Stats().Splits
+		overflows += byEntry.Stats().Overflows
+		for id := int32(0); id < nLists; id++ {
+			want, err := walkNext(byEntry, id)
+			if err != nil {
+				t.Fatalf("seed %d list %d: Next: %v", seed, id, err)
+			}
+			got, err := walkBlocks(t, byBlock, id)
+			if err != nil {
+				t.Fatalf("seed %d list %d: NextBlock: %v", seed, id, err)
+			}
+			if !equalInt32s(got, want) || len(got) != byEntry.Len(id) {
+				t.Fatalf("seed %d list %d: NextBlock yielded %d entries, Next %d, Len %d, or they differ",
+					seed, id, len(got), len(want), byEntry.Len(id))
+			}
+		}
+		if dEntry.Stats() != dBlock.Stats() || byEntry.Pool().Stats() != byBlock.Pool().Stats() {
+			t.Fatalf("seed %d: walks cost different I/O: Next disk %+v pool %+v, NextBlock disk %+v pool %+v",
+				seed, dEntry.Stats(), byEntry.Pool().Stats(), dBlock.Stats(), byBlock.Pool().Stats())
+		}
+		if byEntry.Pool().PinnedFrames() != 0 || byBlock.Pool().PinnedFrames() != 0 {
+			t.Fatalf("seed %d: pins leaked", seed)
+		}
+	}
+	if splits == 0 || overflows == 0 {
+		t.Fatalf("random stores made %d splits and %d overflow pages; want both", splits, overflows)
+	}
+}
