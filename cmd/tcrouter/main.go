@@ -1,14 +1,13 @@
 // Command tcrouter fronts a fleet of stateless tcserve replicas with the
-// scatter-gather routing tier: consistent hashing of source vertices
-// assigns each source an owning replica, multi-source queries scatter to
-// the owners and gather into one merged response, and replica health,
-// transient-failure retries, and latency hedging keep the tier serving
-// through individual replica trouble. Endpoints mirror tcserve:
+// affinity-routing tier: consistent hashing of each query's source set
+// assigns it an owning replica that answers the whole query, and replica
+// health, transient-failure retries, and latency hedging keep the tier
+// serving through individual replica trouble. Endpoints mirror tcserve:
 //
-//	POST /v1/query            scatter by source, gather + merge metric records
-//	GET  /v1/reach?src=&dst=  routed to the source's owning replica
+//	POST /v1/query            routed whole to the owner of its source set
+//	GET  /v1/reach?src=&dst=  routed to the owner of {src}
 //	POST /v1/arc              mutation batch replicated to every enrolled replica
-//	GET  /v1/plan             proxied to one healthy replica
+//	GET  /v1/plan             routed to the tenant's pinned replica
 //	GET  /healthz             router + per-replica enrollment state
 //	GET  /metrics             Prometheus text format (shard/hedge/retry counters)
 //
@@ -47,6 +46,14 @@ import (
 	"tcstudy/internal/router"
 )
 
+// Connection bounds of the listener: a client gets readHeaderTimeout to
+// send its request headers, and an idle keep-alive connection is closed
+// after idleTimeout, so stalled or abandoned connections cannot pile up.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -54,10 +61,10 @@ func main() {
 		health   = flag.Duration("health", 2*time.Second, "replica health-check interval")
 		failN    = flag.Int("failafter", 3, "consecutive health failures that mark a replica out")
 		okN      = flag.Int("recoverafter", 2, "consecutive health successes that re-enroll a replica")
-		retries  = flag.Int("retries", 2, "retry attempts for transient shard failures (503 + transport)")
+		retries  = flag.Int("retries", 2, "retry attempts for transient replica failures (503 + transport)")
 		backoff  = flag.Duration("backoff", 25*time.Millisecond, "initial retry backoff (doubles per attempt)")
-		hedge    = flag.Duration("hedge", 0, "hedge a shard request to another replica after this latency (0 disables)")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-shard sub-request deadline including retries")
+		hedge    = flag.Duration("hedge", 0, "hedge a replica request to another replica after this latency (0 disables)")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-request replica deadline including retries")
 		vnodes   = flag.Int("vnodes", 64, "consistent-hash points per replica")
 		expect   = flag.String("fingerprint", "", "require this dataset fingerprint (default: first healthy replica pins it)")
 		maxLag   = flag.Int("maxgenlag", 0, "exclude replicas whose write sequence trails the fleet by more than this from the read ring (0 disables)")
@@ -94,7 +101,8 @@ func main() {
 	rt.CheckNow(context.Background())
 	rt.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt}
+	httpSrv := &http.Server{Addr: *addr, Handler: rt,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	errc := make(chan error, 1)

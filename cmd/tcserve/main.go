@@ -267,10 +267,19 @@ func serveMulti(spec string, o serveOptions) {
 	runHTTP(o.addr, o.pprofAddr, srv)
 }
 
+// Connection bounds of the listener: a client gets readHeaderTimeout to
+// send its request headers, and an idle keep-alive connection is closed
+// after idleTimeout, so stalled or abandoned connections cannot pile up.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // runHTTP runs the serving lifecycle: listen, optional pprof sidecar, and
 // graceful SIGINT/SIGTERM shutdown draining in-flight queries.
 func runHTTP(addr, pprofAddr string, srv *server.Server) {
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := &http.Server{Addr: addr, Handler: srv,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	// pprof registers on http.DefaultServeMux; the main listener serves the
 	// query mux only, so profiling never leaks onto the public address.

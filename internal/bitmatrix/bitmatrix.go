@@ -5,11 +5,11 @@
 // It targets the regime the successor-list engine handles worst — small,
 // dense SCC condensation cores — where the n²-bit representation turns a
 // closure into a stream of word ORs over contiguous cache lines. The
-// serial kernel is Warren's two-pass sweep (the in-memory analogue of the
-// engine's Blocked Warren baseline, with the buffer pool's paging replaced
-// by rows that fit whole cache lines); the parallel kernel is the
-// Floyd–Warshall column variant, whose per-pivot row updates are
-// independent and partition cleanly across a bounded worker budget.
+// engine's kernel is the DAG sweep (ClosureDAG), one row union per arc in
+// reverse-topological order, which applies because the engine only ever
+// closes an acyclic condensation. Warren's two-pass sweep (Closure, the
+// in-memory analogue of the engine's Blocked Warren baseline) closes any
+// digraph and serves as the tests' oracle for the DAG sweep.
 //
 // Both kernels compute the exact transitive closure (paths of length ≥ 1,
 // so a node reaches itself only through a cycle) and are pinned against
@@ -20,7 +20,6 @@ package bitmatrix
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Matrix is a dense n×n reachability bit matrix. Row i holds the successor
@@ -136,19 +135,12 @@ func orInto(dst, src []uint64) {
 	}
 }
 
-// Closure replaces m with its transitive closure. workers bounds the
-// kernel's parallelism: 0 or 1 selects the serial Warren two-pass sweep,
-// anything higher the Floyd–Warshall column kernel partitioned over
-// min(workers, rows) goroutines. Both produce the identical closure; the
-// returned Stats differ between the two sweeps (they perform different —
-// equally exact — update schedules) but are deterministic for a given
-// matrix and worker count.
-func (m *Matrix) Closure(workers int) Stats {
+// Closure replaces m with its transitive closure by Warren's two-pass
+// sweep. It makes no demand on the input's shape, so it is the general
+// entry point; its Stats are deterministic for a given matrix.
+func (m *Matrix) Closure() Stats {
 	if m.n == 0 {
 		return Stats{}
-	}
-	if workers > 1 {
-		return m.closureParallel(workers)
 	}
 	return m.closureWarren()
 }
@@ -252,70 +244,6 @@ func (m *Matrix) closureWarren() Stats {
 		}
 	}
 	return st
-}
-
-// closureParallel is the parallel kernel: the Floyd–Warshall column
-// variant. For each pivot k ascending, every row i with bit k set absorbs
-// row k. Within one pivot step the updates write disjoint rows and read
-// only the pivot row (row k never absorbs itself — i == k is skipped), so
-// the row space partitions across persistent workers with one barrier per
-// pivot.
-func (m *Matrix) closureParallel(workers int) Stats {
-	if workers > m.n {
-		workers = m.n
-	}
-	// Contiguous row chunks of near-equal height.
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, workers)
-	for w := 0; w < workers; w++ {
-		chunks[w] = chunk{lo: w * m.n / workers, hi: (w + 1) * m.n / workers}
-	}
-	stats := make([]Stats, workers)
-	pivot := make([]chan int, workers)
-	var wg sync.WaitGroup
-	done := make(chan struct{}, workers)
-	for w := range pivot {
-		pivot[w] = make(chan int)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := chunks[w]
-			st := &stats[w]
-			words := m.words
-			for k := range pivot[w] {
-				rowK := m.Row(k)
-				maskK := uint64(1) << uint(k&63)
-				idx := c.lo*words + k>>6
-				for i := c.lo; i < c.hi; i++ {
-					if i != k && m.bits[idx]&maskK != 0 {
-						st.BitsDriving++
-						st.RowUnions++
-						orInto(m.bits[i*words:(i+1)*words], rowK)
-					}
-					idx += words
-				}
-				done <- struct{}{}
-			}
-		}(w)
-	}
-	for k := 0; k < m.n; k++ {
-		for w := range pivot {
-			pivot[w] <- k
-		}
-		for range pivot {
-			<-done
-		}
-	}
-	for w := range pivot {
-		close(pivot[w])
-	}
-	wg.Wait()
-	var total Stats
-	for _, st := range stats {
-		total.RowUnions += st.RowUnions
-		total.BitsDriving += st.BitsDriving
-	}
-	return total
 }
 
 // Threshold constants of the planner/engine selection rule. The kernel is

@@ -62,54 +62,19 @@ func checkAgainstNaive(t *testing.T, m *Matrix, closed *Matrix, label string) {
 	}
 }
 
-// TestClosureAgainstNaive pins both kernels against the bool-matrix
-// reference over a grid of sizes and densities, including cyclic inputs
-// (the kernel's callers feed it DAG condensations, but the kernel itself
-// is exact on any digraph).
+// TestClosureAgainstNaive pins Warren's sweep against the bool-matrix
+// reference over a grid of sizes and densities, including cyclic inputs:
+// it is the oracle the DAG sweep is checked against, so it must be exact
+// on any digraph.
 func TestClosureAgainstNaive(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 17, 63, 64, 65, 130}
 	probs := []float64{0, 0.03, 0.15, 0.5}
 	for _, n := range sizes {
 		for _, p := range probs {
 			base := randomMatrix(n, p, int64(n)*1000+int64(p*100))
-			for _, workers := range []int{1, 2, 4} {
-				m := base.Clone()
-				m.Closure(workers)
-				checkAgainstNaive(t, base, m, "workers="+itoa(workers))
-			}
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// TestSerialParallelIdentical: the Warren sweep and the Floyd–Warshall
-// column kernel must compute the identical closure bits for any input and
-// any worker count.
-func TestSerialParallelIdentical(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		n := 10 + int(seed)*13
-		base := randomMatrix(n, 0.08, seed)
-		serial := base.Clone()
-		serial.Closure(1)
-		for _, workers := range []int{2, 3, 7, 16, 1000} {
-			par := base.Clone()
-			par.Closure(workers)
-			if !par.Equal(serial) {
-				t.Fatalf("seed=%d n=%d workers=%d: parallel closure differs from serial", seed, n, workers)
-			}
+			m := base.Clone()
+			m.Closure()
+			checkAgainstNaive(t, base, m, "warren")
 		}
 	}
 }
@@ -142,7 +107,7 @@ func TestClosureDAGAgainstWarren(t *testing.T) {
 				base.Set(int(seed)%n, int(seed)%n) // a self-loop survives closure
 			}
 			want := base.Clone()
-			want.Closure(1)
+			want.Closure()
 
 			// Upper-triangular bits point forward, so descending index is
 			// reverse-topological.
@@ -176,15 +141,18 @@ func TestClosureDAGAgainstWarren(t *testing.T) {
 // into its deterministic metric record).
 func TestClosureStatsDeterministic(t *testing.T) {
 	base := randomMatrix(100, 0.1, 7)
-	for _, workers := range []int{1, 4} {
-		a, b := base.Clone(), base.Clone()
-		sa, sb := a.Closure(workers), b.Closure(workers)
-		if sa != sb {
-			t.Fatalf("workers=%d: stats differ between identical runs: %+v vs %+v", workers, sa, sb)
-		}
-		if sa.RowUnions == 0 || sa.BitsDriving == 0 {
-			t.Fatalf("workers=%d: stats empty (%+v) on a matrix that needs unions", workers, sa)
-		}
+	a, b := base.Clone(), base.Clone()
+	sa, sb := a.Closure(), b.Closure()
+	if sa != sb {
+		t.Fatalf("stats differ between identical runs: %+v vs %+v", sa, sb)
+	}
+	if sa.RowUnions == 0 || sa.BitsDriving == 0 {
+		t.Fatalf("stats empty (%+v) on a matrix that needs unions", sa)
+	}
+	dag := randomDAGMatrix(100, 0.1, 7).Transpose() // bits point backward: nil order applies
+	c, d := dag.Clone(), dag.Clone()
+	if sc, sd := c.ClosureDAG(nil), d.ClosureDAG(nil); sc != sd {
+		t.Fatalf("DAG sweep stats differ between identical runs: %+v vs %+v", sc, sd)
 	}
 }
 
@@ -240,10 +208,10 @@ func TestClosureTransposeCommutes(t *testing.T) {
 		base := randomMatrix(n, 0.07, 100+seed)
 
 		viaTranspose := base.Transpose()
-		viaTranspose.Closure(1)
+		viaTranspose.Closure()
 
 		closed := base.Clone()
-		closed.Closure(1)
+		closed.Closure()
 
 		if !viaTranspose.Equal(closed.Transpose()) {
 			t.Fatalf("seed=%d n=%d: closure(transpose) != transpose(closure)", seed, n)
@@ -297,12 +265,7 @@ func BenchmarkKernelClosure(b *testing.B) {
 	base := randomMatrix(512, 0.1, 1)
 	b.Run("warren-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			base.Clone().Closure(1)
-		}
-	})
-	b.Run("fw-parallel-4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			base.Clone().Closure(4)
+			base.Clone().Closure()
 		}
 	})
 	dag := randomDAGMatrix(512, 0.1, 1)

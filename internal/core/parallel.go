@@ -20,10 +20,8 @@ import "tcstudy/internal/obsv"
 // source partitioning: an explicit Parallelism of at least 2 and a PTC
 // query with at least two sources to split. CTC (empty source set) always
 // runs serially. BITM is excluded: the bit-matrix kernel computes the full
-// closure of the condensed core once regardless of the source set —
-// partitioning sources would duplicate the whole matrix per worker — and
-// instead spends the same Parallelism budget inside the kernel's per-pivot
-// row updates.
+// closure of the condensed core once regardless of the source set, so
+// partitioning sources would duplicate the whole matrix per worker.
 func parallelEligible(alg Algorithm, q Query, cfg Config) bool {
 	return alg != BITM && cfg.Parallelism > 1 && len(q.Sources) > 1
 }

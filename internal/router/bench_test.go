@@ -17,8 +17,8 @@ import (
 	"tcstudy/internal/server"
 )
 
-// Router benchmarks: aggregate query throughput through the scatter-gather
-// tier at different fleet sizes. Replicas are in-process httptest servers,
+// Router benchmarks: aggregate query throughput through the affinity
+// router at different fleet sizes. Replicas are in-process httptest servers,
 // so these numbers measure the routing tier's overhead and concurrency
 // behavior, not cross-machine scaling — the useful comparison is the qps
 // metric between the replicas=1 and replicas=3 sub-benchmarks on the same
@@ -102,7 +102,7 @@ func BenchmarkRouterScaling(b *testing.B) {
 }
 
 // BenchmarkRouterCachedQuery measures the pure routing overhead: the same
-// query repeated, served from every shard's result cache.
+// query repeated, served from its owner's result cache.
 func BenchmarkRouterCachedQuery(b *testing.B) {
 	url := routerBenchFleet(b, 3)
 	client := &http.Client{}

@@ -26,7 +26,7 @@ type Metrics struct {
 	Errors      atomic.Int64 // requests failed at the router (after retries)
 	Unavailable atomic.Int64 // requests refused because no replica was healthy
 
-	Retries   atomic.Int64 // shard sub-request retries (transient outcomes)
+	Retries   atomic.Int64 // replica request retries (transient outcomes)
 	Hedges    atomic.Int64 // hedged second requests launched
 	HedgeWins atomic.Int64 // hedges that beat the primary
 
@@ -37,8 +37,7 @@ type Metrics struct {
 	LagExclusions atomic.Int64 // ring rebuilds that held a replica out for write lag
 	HealthChecks  atomic.Int64 // health sweeps performed
 
-	lat    *obsv.Histogram // end-to-end router latency, seconds
-	fanout *obsv.Histogram // shards contacted per scattered query
+	lat *obsv.Histogram // end-to-end router latency, seconds
 
 	mu      sync.Mutex
 	shards  map[string]*shardCounters // by replica URL
@@ -50,15 +49,11 @@ type shardCounters struct {
 	failures atomic.Int64 // sub-requests that did not return 200
 }
 
-// fanoutBuckets covers scatter widths from a single shard to a large fleet.
-func fanoutBuckets() []float64 { return []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32} }
-
 // NewMetrics returns a zeroed metric set with the clock started.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		start:   time.Now(),
 		lat:     obsv.NewHistogram(obsv.DurationBuckets()...),
-		fanout:  obsv.NewHistogram(fanoutBuckets()...),
 		shards:  make(map[string]*shardCounters),
 		tenants: make(map[string]*atomic.Int64),
 	}
@@ -82,9 +77,6 @@ func (m *Metrics) TenantRequest(tenant string) {
 
 // ObserveLatency records one completed router request.
 func (m *Metrics) ObserveLatency(d time.Duration) { m.lat.Observe(d.Seconds()) }
-
-// ObserveFanout records how many shards one query scattered to.
-func (m *Metrics) ObserveFanout(shards int) { m.fanout.Observe(float64(shards)) }
 
 // Shard returns the counter pair for one replica, creating it on first use.
 func (m *Metrics) Shard(url string) *shardCounters {
@@ -135,9 +127,9 @@ func (m *Metrics) Prometheus(health []replicaHealth) string {
 		float64(m.Errors.Load()))
 	e.Counter("tcr_unavailable_total", "Requests refused because no replica was healthy.",
 		float64(m.Unavailable.Load()))
-	e.Counter("tcr_retries_total", "Shard sub-request retries on transient failures.",
+	e.Counter("tcr_retries_total", "Replica request retries on transient failures.",
 		float64(m.Retries.Load()))
-	e.Counter("tcr_hedges_total", "Hedged second requests launched for slow shards.",
+	e.Counter("tcr_hedges_total", "Hedged second requests launched for slow replicas.",
 		float64(m.Hedges.Load()))
 	e.Counter("tcr_hedge_wins_total", "Hedged requests that beat the primary.",
 		float64(m.HedgeWins.Load()))
@@ -211,7 +203,5 @@ func (m *Metrics) Prometheus(health []replicaHealth) string {
 
 	e.HistogramFamily("tcr_request_duration_seconds", "End-to-end router request latency.")
 	e.Histogram("tcr_request_duration_seconds", nil, m.lat.Snapshot())
-	e.HistogramFamily("tcr_scatter_fanout_shards", "Shards contacted per scattered query.")
-	e.Histogram("tcr_scatter_fanout_shards", nil, m.fanout.Snapshot())
 	return e.String()
 }

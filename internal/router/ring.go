@@ -8,10 +8,10 @@ import (
 // ring is a consistent-hash ring over the currently healthy replicas.
 // Each replica contributes vnodes points (FNV-1a of "url#i", finished
 // through a splitmix64 avalanche so nearby inputs land far apart); a
-// source vertex belongs to the first point clockwise of its own hash.
-// Consistent hashing is what keeps shard ownership — and therefore each
-// replica's warm result cache — stable when one replica leaves or
-// rejoins: only the keys owned by the departed replica move.
+// routing key (see affinityKey) belongs to the first point clockwise of
+// its own hash. Consistent hashing is what keeps ownership — and
+// therefore each replica's warm result cache — stable when one replica
+// leaves or rejoins: only the keys owned by the departed replica move.
 //
 // A ring is immutable once built; the router swaps in a fresh ring under
 // its lock whenever health state changes, and requests in flight keep the
@@ -46,12 +46,6 @@ func buildRing(reps []*replica, vnodes int) *ring {
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].h < r.points[j].h })
 	return r
-}
-
-// owner returns the replica owning a source vertex.
-func (r *ring) owner(key int32) *replica {
-	i := r.search(keyHash(key))
-	return r.points[i].rep
 }
 
 // rotation returns the distinct replicas in clockwise order starting at
@@ -92,8 +86,8 @@ func keyHash(key int32) uint64 {
 	return mix(uint64(uint32(key)) * 0x9e3779b97f4a7c15)
 }
 
-// mix is the splitmix64 finisher: a cheap avalanche so sequential vertex
-// ids spread uniformly around the ring.
+// mix is the splitmix64 finisher: a cheap avalanche so sequential keys
+// spread uniformly around the ring.
 func mix(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9

@@ -1,14 +1,14 @@
-// Package router is the scatter-gather serving tier in front of a fleet
-// of stateless tcserve replicas. The paper's partitioned algorithms
-// already decompose a closure query into independent per-source work, so
-// horizontal sharding is routing, not rework: every replica holds a full
-// copy of the sealed database (and index) files, a consistent-hash ring
-// assigns each source vertex an owning replica — keeping that replica's
-// result cache warm for the sources it owns — and a multi-source query
-// scatters one sub-query per owning replica, gathering the answers into a
-// single response whose metric record merges per-shard records with the
-// same additive-counters/max-phase-times semantics as core's parallel
-// worker merge.
+// Package router is the affinity-routing tier in front of a fleet of
+// stateless tcserve replicas. Every replica holds a full copy of the
+// sealed database (and index) files, so any replica can answer any read;
+// routing only decides whose result cache a read warms. A consistent-hash
+// ring gives each read an owning replica by its affinity key — the
+// query's sorted source set, salted per tenant — and the whole request
+// goes to that owner. A multi-source query is never split: the paper's
+// partial-closure algorithms are cheap exactly when the sources share
+// marked descendants (selection efficiency vs marking utilization), and
+// splitting the sources across replicas would make each replica expand
+// the shared descendants again.
 //
 // Three defenses keep the tier serving under replica trouble:
 //
@@ -16,26 +16,29 @@
 //     fleet's dataset fingerprint; consecutive failures mark a replica
 //     out, consecutive successes re-enroll it, and a mismatched
 //     fingerprint (a replica serving the wrong graph) is refused outright.
-//   - retries: transient sub-request outcomes (503, transport errors) are
+//   - retries: transient replica outcomes (503, transport errors) are
 //     retried with the tcload backoff policy (internal/httpretry),
 //     rotating to the next healthy replica — any replica can answer any
-//     sub-query, ownership is only an affinity.
-//   - hedging: a sub-request that exceeds a latency threshold triggers a
+//     read, ownership is only an affinity.
+//   - hedging: a request that exceeds a latency threshold triggers a
 //     second request to the next healthy replica; the first useful answer
 //     wins and the loser is cancelled through its context.
 //
-// The router exposes its own Prometheus /metrics through internal/obsv.
-// See docs/ROUTER.md.
+// Writes (POST /v1/arc) are the exception: they fan out to every enrolled
+// replica (write.go). The router exposes its own Prometheus /metrics
+// through internal/obsv. See docs/ROUTER.md.
 package router
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -60,15 +63,15 @@ type Options struct {
 	// RecoverThreshold is how many consecutive successes re-enroll a
 	// replica that was marked out (default 2).
 	RecoverThreshold int
-	// Retries and Backoff set the shared transient-retry policy for shard
-	// sub-requests (defaults 2 and 25ms, tcload's defaults).
+	// Retries and Backoff set the shared transient-retry policy for
+	// replica requests (defaults 2 and 25ms, tcload's defaults).
 	Retries int
 	Backoff time.Duration
-	// HedgeAfter sends a hedged second sub-request to the next healthy
+	// HedgeAfter sends a hedged second request to the next healthy
 	// replica when the first has not answered within this threshold
 	// (default 0: hedging disabled).
 	HedgeAfter time.Duration
-	// ShardTimeout bounds one scattered sub-request including its retries
+	// ShardTimeout bounds one replica request including its retries
 	// (default 30s).
 	ShardTimeout time.Duration
 	// Vnodes is the number of consistent-hash points per replica
@@ -119,7 +122,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Router fans queries out over a replica fleet and gathers the answers.
+// Router routes reads to a replica fleet by affinity and replicates writes
+// to all of it.
 type Router struct {
 	opts   Options
 	client *http.Client
@@ -197,63 +201,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// queryRequest mirrors tcserve's POST /v1/query body; the router rewrites
-// only the source list when scattering, every other field is forwarded
-// untouched.
-type queryRequest struct {
-	Algorithm         string  `json:"algorithm"`
-	Sources           []int32 `json:"sources"`
-	Graph             string  `json:"graph,omitempty"`
-	BufferPages       int     `json:"buffer_pages,omitempty"`
-	PagePolicy        string  `json:"page_policy,omitempty"`
-	ListPolicy        string  `json:"list_policy,omitempty"`
-	ILIMIT            float64 `json:"ilimit,omitempty"`
-	Parallelism       int     `json:"parallelism,omitempty"`
-	TimeoutMS         int     `json:"timeout_ms,omitempty"`
-	IncludeSuccessors bool    `json:"include_successors,omitempty"`
-}
-
-// shardResponse mirrors tcserve's POST /v1/query reply.
-type shardResponse struct {
-	Algorithm       string            `json:"algorithm"`
-	Sources         []int32           `json:"sources,omitempty"`
-	Cached          bool              `json:"cached"`
-	Deduplicated    bool              `json:"deduplicated"`
-	ElapsedMS       float64           `json:"elapsed_ms"`
-	Metrics         Record            `json:"metrics"`
-	SuccessorCounts map[int32]int     `json:"successor_counts"`
-	Successors      map[int32][]int32 `json:"successors,omitempty"`
-}
-
-// queryResponse is the router's gathered reply: the same shape a single
-// tcserve serves, plus the scatter accounting fields.
-type queryResponse struct {
-	Algorithm       string            `json:"algorithm"`
-	Sources         []int32           `json:"sources,omitempty"`
-	Cached          bool              `json:"cached"`       // every shard answered from its cache
-	Deduplicated    bool              `json:"deduplicated"` // any shard coalesced in flight
-	ElapsedMS       float64           `json:"elapsed_ms"`
-	Shards          int               `json:"shards"`
-	Retries         int               `json:"retries,omitempty"`
-	Hedges          int               `json:"hedges,omitempty"`
-	Metrics         Record            `json:"metrics"`
-	SuccessorCounts map[int32]int     `json:"successor_counts"`
-	Successors      map[int32][]int32 `json:"successors,omitempty"`
-}
-
-// shardGroup is the work for one owning replica: the sources it owns plus
-// the retry/hedge rotation starting at it.
-type shardGroup struct {
-	sources  []int32
-	rotation []*replica
-}
-
 // tenantSalt folds a tenant name into a ring-key perturbation, so the same
-// source vertex of different tenants lands on different owners: each
+// source set of different tenants lands on different owners: each
 // tenant's working set spreads independently over the fleet, and one
-// tenant's hot sources do not pile onto the replicas owning another
-// tenant's identical vertex ids. The default tenant's salt is zero, which
-// keeps single-graph routing (and its warm caches) byte-identical.
+// tenant's hot queries do not pile onto the replicas owning another
+// tenant's identical vertex ids. The default tenant's salt is zero.
 func tenantSalt(graph string) int32 {
 	if graph == "" {
 		return 0
@@ -263,38 +215,31 @@ func tenantSalt(graph string) int32 {
 	return int32(f.Sum32())
 }
 
-// partition groups a query's sources by owning replica, preserving the
-// request's source order inside each group so replicas see canonical
-// sub-queries. Ring keys are salted by the tenant so each tenant's
-// ownership map is independent. An empty source list (full closure) is one
-// group routed by the tenant's fixed key: the whole fleet holds the whole
-// graph, so any owner works, and pinning the key keeps the full-closure
-// cache warm on one replica per tenant.
-func partition(rg *ring, sources []int32, salt int32) []shardGroup {
+// affinityKey is the ring key of a read: its source set, sorted and
+// de-duplicated so every spelling of one set shares an owner, folded with
+// FNV-1a and salted by the tenant. The empty set — a full closure, or a
+// plan request — keys on the tenant alone, which pins each tenant's
+// full-closure cache and planner evidence to one replica.
+func affinityKey(tenant string, sources []int32) int32 {
+	salt := tenantSalt(tenant)
 	if len(sources) == 0 {
-		return []shardGroup{{sources: nil, rotation: rg.rotation(salt)}}
+		return salt
 	}
-	order := make([]*replica, 0, 4)
-	groups := make(map[*replica]*shardGroup, 4)
-	for _, s := range sources {
-		rep := rg.owner(s ^ salt)
-		g := groups[rep]
-		if g == nil {
-			g = &shardGroup{rotation: rg.rotation(s ^ salt)}
-			groups[rep] = g
-			order = append(order, rep)
+	set := slices.Clone(sources)
+	slices.Sort(set)
+	set = slices.Compact(set)
+	h := uint32(2166136261)
+	for _, s := range set {
+		for shift := 0; shift < 32; shift += 8 {
+			h ^= uint32(s) >> shift & 0xff
+			h *= 16777619
 		}
-		g.sources = append(g.sources, s)
 	}
-	out := make([]shardGroup, 0, len(order))
-	for _, rep := range order {
-		out = append(out, *groups[rep])
-	}
-	return out
+	return int32(h) ^ salt
 }
 
-// shardOutcome is the final result of one scattered sub-request after
-// retries and hedging.
+// shardOutcome is the final result of one replica request after retries
+// and hedging.
 type shardOutcome struct {
 	status  int
 	body    []byte
@@ -397,7 +342,7 @@ func (rt *Router) hedgedSend(ctx context.Context, primary, alt *replica, method,
 	}
 }
 
-// doShard runs one scattered sub-request to completion: attempts rotate
+// doShard runs one replica request to completion: attempts rotate
 // through the healthy replicas starting at the owner, transient outcomes
 // retry with exponential backoff, and each attempt may hedge to the next
 // replica in the rotation.
@@ -449,109 +394,42 @@ func (rt *Router) noReplicas(w http.ResponseWriter) {
 	})
 }
 
+// handleQuery routes a closure query whole to the owner of its source
+// set. Only the routing key is decoded: the owner receives the client's
+// body as sent, and its reply comes back as sent plus the routing
+// accounting.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	rt.met.Queries.Add(1)
-	var qr queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	if err != nil {
+		rt.met.Errors.Add(1)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": fmt.Sprintf("read request body: %v", err)})
+		return
+	}
+	var key struct {
+		Sources []int32 `json:"sources"`
+		Graph   string  `json:"graph"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&key); err != nil {
 		rt.met.Errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	rg := rt.snapshot()
-	if rg == nil {
-		rt.noReplicas(w)
-		return
+	// tcserve's precedence: the graph= parameter, then the body's field.
+	tenant := r.URL.Query().Get("graph")
+	if tenant == "" {
+		tenant = key.Graph
 	}
-	if qr.Graph == "" {
-		qr.Graph = r.URL.Query().Get("graph")
-	}
-	rt.met.TenantRequest(qr.Graph)
-	groups := partition(rg, qr.Sources, tenantSalt(qr.Graph))
-	rt.met.ObserveFanout(len(groups))
-
-	outcomes := make([]shardOutcome, len(groups))
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		sub := qr
-		sub.Sources = g.sources
-		body, err := json.Marshal(sub)
-		if err != nil {
-			rt.met.Errors.Add(1)
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		wg.Add(1)
-		go func(i int, rot []*replica, body []byte) {
-			defer wg.Done()
-			outcomes[i] = rt.doShard(r.Context(), rot, http.MethodPost, "/v1/query", body)
-		}(i, g.rotation, body)
-	}
-	wg.Wait()
-
-	resp := queryResponse{
-		Algorithm: qr.Algorithm,
-		Sources:   qr.Sources,
-		Cached:    true,
-		Shards:    len(groups),
-	}
-	records := make([]Record, 0, len(groups))
-	for _, out := range outcomes {
-		resp.Retries += out.retries
-		resp.Hedges += out.hedges
-	}
-	// A deterministic client error (4xx) wins over transient failures:
-	// the request itself is wrong and retrying elsewhere cannot help.
-	var failed *shardOutcome
-	for i := range outcomes {
-		out := &outcomes[i]
-		if out.err == nil && out.status == http.StatusOK {
-			continue
-		}
-		if failed == nil || (out.err == nil && out.status >= 400 && out.status < 500 &&
-			!(failed.err == nil && failed.status >= 400 && failed.status < 500)) {
-			failed = out
-		}
-	}
-	if failed != nil {
-		rt.failShard(w, *failed)
-		return
-	}
-	var shards []shardResponse
-	for _, out := range outcomes {
-		var sr shardResponse
-		if err := json.Unmarshal(out.body, &sr); err != nil {
-			rt.met.Errors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("bad replica response: %v", err)})
-			return
-		}
-		shards = append(shards, sr)
-	}
-	resp.SuccessorCounts = make(map[int32]int)
-	for _, sr := range shards {
-		records = append(records, sr.Metrics)
-		resp.Cached = resp.Cached && sr.Cached
-		resp.Deduplicated = resp.Deduplicated || sr.Deduplicated
-		for node, n := range sr.SuccessorCounts {
-			resp.SuccessorCounts[node] = n
-		}
-		if sr.Successors != nil {
-			if resp.Successors == nil {
-				resp.Successors = make(map[int32][]int32)
-			}
-			for node, succ := range sr.Successors {
-				resp.Successors[node] = succ
-			}
-		}
-	}
-	resp.Metrics = MergeRecords(records)
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	rt.met.ObserveLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	rt.proxy(w, r, tenant, key.Sources, body, true)
 }
 
+// handleReach routes src->dst reachability by the set {src}.
 func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	rt.met.Reaches.Add(1)
 	src, err := strconv.ParseInt(r.URL.Query().Get("src"), 10, 32)
 	if err != nil {
@@ -559,52 +437,57 @@ func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reach needs integer src and dst parameters"})
 		return
 	}
+	rt.proxy(w, r, r.URL.Query().Get("graph"), []int32{int32(src)}, nil, false)
+}
+
+// handlePlan proxies the planner ranking, keyed on the tenant alone:
+// every replica serves the same graphs, so any profile is the fleet's
+// profile, and the pin keeps a tenant's plan requests on the replica
+// whose adaptive observation store its full-closure queries feed.
+func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
+	rt.met.Plans.Add(1)
+	rt.proxy(w, r, r.URL.Query().Get("graph"), nil, nil, false)
+}
+
+// proxy sends one read, method, path and query string unchanged, along
+// the ring rotation of its affinity key (owner first, then the fallbacks
+// doShard retries and hedges to) and passes the reply through. With
+// accounting set, the reply object gains the routing fields shards
+// (always 1), retries and hedges, spliced in without decoding it.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, tenant string, sources []int32, body []byte, accounting bool) {
+	start := time.Now()
 	rg := rt.snapshot()
 	if rg == nil {
 		rt.noReplicas(w)
 		return
 	}
-	tenant := r.URL.Query().Get("graph")
 	rt.met.TenantRequest(tenant)
-	out := rt.doShard(r.Context(), rg.rotation(int32(src)^tenantSalt(tenant)),
-		http.MethodGet, "/v1/reach?"+r.URL.RawQuery, nil)
+	path := r.URL.Path
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
+	}
+	out := rt.doShard(r.Context(), rg.rotation(affinityKey(tenant, sources)), r.Method, path, body)
 	if out.err != nil || out.status != http.StatusOK {
 		rt.failShard(w, out)
 		return
+	}
+	var head []byte
+	reply := out.body
+	if accounting {
+		rest, ok := bytes.CutPrefix(reply, []byte("{"))
+		if !ok || bytes.HasPrefix(bytes.TrimLeft(rest, " \t\r\n"), []byte("}")) {
+			rt.met.Errors.Add(1)
+			writeJSON(w, http.StatusBadGateway, map[string]string{"error": "bad replica response: not a non-empty JSON object"})
+			return
+		}
+		head = fmt.Appendf(nil, `{"shards":1,"retries":%d,"hedges":%d,`, out.retries, out.hedges)
+		reply = rest
 	}
 	rt.met.ObserveLatency(time.Since(start))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out.body)
-}
-
-// handlePlan proxies the planner ranking to one healthy replica — every
-// replica serves the same graphs, so any profile is the fleet's profile.
-// The rotation is pinned per tenant: a tenant's plan requests keep landing
-// on the replica whose adaptive observation store that tenant's queries
-// feed most (its full-closure owner), so the served ranking reflects the
-// densest evidence available.
-func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
-	rt.met.Plans.Add(1)
-	rg := rt.snapshot()
-	if rg == nil {
-		rt.noReplicas(w)
-		return
-	}
-	tenant := r.URL.Query().Get("graph")
-	rt.met.TenantRequest(tenant)
-	path := "/v1/plan"
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	out := rt.doShard(r.Context(), rg.rotation(tenantSalt(tenant)), http.MethodGet, path, nil)
-	if out.err != nil || out.status != http.StatusOK {
-		rt.failShard(w, out)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out.body)
+	_, _ = w.Write(head)
+	_, _ = w.Write(reply)
 }
 
 // replicaStatus is one replica's entry in the router's /healthz.

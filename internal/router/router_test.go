@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -53,24 +54,59 @@ func newFleetRouter(t *testing.T, opts Options, urls ...string) (*Router, *httpt
 	return rt, ts
 }
 
-func postRouterQuery(t *testing.T, url string, body any) (*http.Response, queryResponse) {
+// queryReply decodes a POST /v1/query reply, routed or direct: tcserve's
+// answer fields plus the router's accounting. The metric record stays a
+// generic map so comparisons cover every field the server sends.
+type queryReply struct {
+	Algorithm       string            `json:"algorithm"`
+	Graph           string            `json:"graph"`
+	Sources         []int32           `json:"sources"`
+	Cached          bool              `json:"cached"`
+	Shards          int               `json:"shards"`
+	Retries         int               `json:"retries"`
+	Hedges          int               `json:"hedges"`
+	Metrics         map[string]any    `json:"metrics"`
+	SuccessorCounts map[int32]int     `json:"successor_counts"`
+	Successors      map[int32][]int32 `json:"successors"`
+}
+
+// postQuery sends one query to a router or a replica and decodes a 200
+// reply.
+func postQuery(t *testing.T, url string, body any) (*http.Response, queryReply) {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(b))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(mustJSON(t, body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr queryResponse
+	var qr queryReply
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return resp, qr
+}
+
+// postDirectQuery sends one query straight to a replica; it must succeed.
+func postDirectQuery(t *testing.T, base string, body any) queryReply {
+	t.Helper()
+	resp, qr := postQuery(t, base, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct query status %d", resp.StatusCode)
+	}
+	return qr
+}
+
+// shardRequests sums the replica requests the router has sent.
+func shardRequests(rt *Router) int64 {
+	rt.met.mu.Lock()
+	defer rt.met.mu.Unlock()
+	var n int64
+	for _, c := range rt.met.shards {
+		n += c.requests.Load()
+	}
+	return n
 }
 
 func routerHealthz(t *testing.T, url string) (int, map[string]any) {
@@ -98,7 +134,10 @@ func replicaStates(h map[string]any) map[string]string {
 	return out
 }
 
-func TestRouterScatterGather(t *testing.T) {
+// TestRouterRoutesQueryWhole: a multi-source query goes whole to one
+// replica — one sub-request, shards 1 — answers like a single server, and
+// its repeat is served from that owner's result cache.
+func TestRouterRoutesQueryWhole(t *testing.T) {
 	const nodes, seed = 300, int64(7)
 	a := newReplicaServer(t, nodes, seed)
 	b := newReplicaServer(t, nodes, seed)
@@ -112,29 +151,22 @@ func TestRouterScatterGather(t *testing.T) {
 
 	sources := []int32{3, 41, 97, 150, 222, 288}
 	body := map[string]any{"algorithm": "srch", "sources": sources, "include_successors": true}
-	resp, got := postRouterQuery(t, ts.URL, body)
+	resp, got := postQuery(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router query status %d", resp.StatusCode)
 	}
-	if got.Shards < 2 {
-		t.Fatalf("6 sources over 3 replicas scattered to %d shard(s); want >= 2", got.Shards)
+	if got.Shards != 1 || got.Retries != 0 || got.Hedges != 0 {
+		t.Fatalf("accounting shards=%d retries=%d hedges=%d, want 1/0/0", got.Shards, got.Retries, got.Hedges)
+	}
+	if n := shardRequests(rt); n != 1 {
+		t.Fatalf("router sent %d replica requests for one query, want 1", n)
 	}
 	if got.Cached {
 		t.Fatal("first query reported cached")
 	}
 
-	// The gathered answer must equal a single server's answer for the
-	// same query: sharding may never change what is reachable.
-	wresp, err := http.Post(single.URL+"/v1/query", "application/json",
-		bytes.NewReader(mustJSON(t, body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wresp.Body.Close()
-	var want shardResponse
-	if err := json.NewDecoder(wresp.Body).Decode(&want); err != nil {
-		t.Fatal(err)
-	}
+	// Routing may never change what is reachable.
+	want := postDirectQuery(t, single.URL, body)
 	if len(got.SuccessorCounts) != len(want.SuccessorCounts) {
 		t.Fatalf("successor count maps differ: %d vs %d entries", len(got.SuccessorCounts), len(want.SuccessorCounts))
 	}
@@ -145,21 +177,27 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 	for node, succ := range want.Successors {
 		if !equalInt32(got.Successors[node], succ) {
-			t.Fatalf("node %d successor set differs", node)
+			t.Fatalf("node %d successor list differs", node)
 		}
 	}
-	// Distinct tuples are partition-additive for disjoint source sets, so
-	// the merged record's total must match the single run.
-	if got.Metrics.DistinctTuples != want.Metrics.DistinctTuples {
-		t.Fatalf("merged distinct_tuples %d, single server %d", got.Metrics.DistinctTuples, want.Metrics.DistinctTuples)
-	}
 
-	// A repeat of the same query hits every shard's result cache.
-	if _, again := postRouterQuery(t, ts.URL, body); !again.Cached {
-		t.Fatal("repeat query not served from the shard caches")
+	// A repeat, and the same set spelled differently, key to the same
+	// owner, whose cache holds the answer.
+	reordered := map[string]any{"algorithm": "srch", "sources": []int32{288, 222, 150, 97, 41, 3, 41}, "include_successors": true}
+	for _, again := range []map[string]any{body, reordered} {
+		if _, hit := postQuery(t, ts.URL, again); !hit.Cached {
+			t.Fatalf("query %v not served from the owner's cache", again["sources"])
+		}
 	}
-	if rt.Metrics().Queries.Load() != 2 {
-		t.Fatalf("query counter %d, want 2", rt.Metrics().Queries.Load())
+	owner := ownerOf(rt.snapshot(), affinityKey("", sources)).url
+	rt.met.mu.Lock()
+	ownerReqs := rt.met.shards[owner].requests.Load()
+	rt.met.mu.Unlock()
+	if ownerReqs != 3 || shardRequests(rt) != 3 {
+		t.Fatalf("owner %s got %d of %d replica requests, want all 3", owner, ownerReqs, shardRequests(rt))
+	}
+	if rt.Metrics().Queries.Load() != 3 {
+		t.Fatalf("query counter %d, want 3", rt.Metrics().Queries.Load())
 	}
 }
 
@@ -216,7 +254,7 @@ func TestRouterFingerprintMismatchRefusedEnrollment(t *testing.T) {
 		t.Fatalf("mismatched counter %d", rt.Metrics().Mismatched.Load())
 	}
 	// Queries still work, served entirely by the matching replica.
-	resp, qr := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1, 50, 120}})
+	resp, qr := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1, 50, 120}})
 	if resp.StatusCode != http.StatusOK || qr.Shards != 1 {
 		t.Fatalf("status %d shards %d, want 200/1", resp.StatusCode, qr.Shards)
 	}
@@ -268,7 +306,7 @@ func TestRouterRetriesTransientShardFailure(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	rt, ts := newFleetRouter(t, Options{Retries: 3, Backoff: time.Millisecond}, proxy.URL)
-	resp, qr := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5, 9}})
+	resp, qr := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5, 9}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query through flaky replica: status %d", resp.StatusCode)
 	}
@@ -288,7 +326,7 @@ func TestRouterRetriesExhaustedPassThrough503(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	rt, ts := newFleetRouter(t, Options{Retries: 1, Backoff: time.Millisecond}, proxy.URL)
-	resp, _ := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5}})
+	resp, _ := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want the replica's 503 passed through", resp.StatusCode)
 	}
@@ -300,9 +338,67 @@ func TestRouterRetriesExhaustedPassThrough503(t *testing.T) {
 func TestRouterValidationErrorPassThrough(t *testing.T) {
 	a := newReplicaServer(t, 200, 7)
 	_, ts := newFleetRouter(t, Options{}, a.URL)
-	resp, _ := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "nope", "sources": []int32{1}})
+	resp, _ := postQuery(t, ts.URL, map[string]any{"algorithm": "nope", "sources": []int32{1}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown algorithm through router: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRouterBadReplicaReply: a 200 reply that is not a non-empty JSON
+// object cannot take the accounting fields, so the router answers 502
+// rather than pass on malformed JSON.
+func TestRouterBadReplicaReply(t *testing.T) {
+	backend := newReplicaServer(t, 200, 7)
+	for _, reply := range []string{`[]`, `{}`, `{ }`} {
+		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/query" {
+				w.Write([]byte(reply))
+				return
+			}
+			resp, err := http.Get(backend.URL + r.URL.Path)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			w.WriteHeader(resp.StatusCode)
+			io.Copy(w, resp.Body)
+		}))
+		_, ts := newFleetRouter(t, Options{}, front.URL)
+		if resp, _ := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1}}); resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("replica reply %s: router status %d, want 502", reply, resp.StatusCode)
+		}
+		front.Close()
+	}
+}
+
+// TestRouterQueryBodyLimit: a query body over maxQueryBody is refused
+// with 413 before any replica sees it.
+func TestRouterQueryBodyLimit(t *testing.T) {
+	a := newReplicaServer(t, 200, 7)
+	rt, ts := newFleetRouter(t, Options{}, a.URL)
+	huge := bytes.Repeat([]byte(" "), maxQueryBody)
+	body := append(append([]byte(`{"algorithm":"srch","sources":[1`), huge...), "]}"...)
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized query body: status %d, want 413", resp.StatusCode)
+	}
+	if n := shardRequests(rt); n != 0 {
+		t.Fatalf("oversized query sent %d replica requests, want 0", n)
+	}
+	// A body just inside the bound still routes.
+	ok := append(append([]byte(`{"algorithm":"srch","sources":[1`), huge[:maxQueryBody-64]...), "]}"...)
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query body under the bound: status %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -350,7 +446,7 @@ func TestRouterHealthMarksReplicaOutAndBack(t *testing.T) {
 		t.Fatalf("excluded counter %d", rt.Metrics().Excluded.Load())
 	}
 	// Queries keep flowing to the survivor.
-	if resp, _ := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1, 99}}); resp.StatusCode != http.StatusOK {
+	if resp, _ := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1, 99}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query with one replica out: status %d", resp.StatusCode)
 	}
 
@@ -372,7 +468,7 @@ func TestRouterNoHealthyReplicas(t *testing.T) {
 	}))
 	t.Cleanup(dead.Close)
 	rt, ts := newFleetRouter(t, Options{}, dead.URL)
-	resp, _ := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1}})
+	resp, _ := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 with no healthy replicas", resp.StatusCode)
 	}
@@ -430,7 +526,7 @@ func TestRouterHedgesSlowShard(t *testing.T) {
 	rg := rt.snapshot()
 	var src int32
 	for s := int32(1); s <= int32(nodes); s++ {
-		if rg.owner(s).url == slow.URL {
+		if ownerOf(rg, affinityKey("", []int32{s})).url == slow.URL {
 			src = s
 			break
 		}
@@ -440,7 +536,7 @@ func TestRouterHedgesSlowShard(t *testing.T) {
 	}
 
 	start := time.Now()
-	resp, qr := postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{src}})
+	resp, qr := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{src}})
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hedged query status %d", resp.StatusCode)
@@ -456,11 +552,11 @@ func TestRouterHedgesSlowShard(t *testing.T) {
 	}
 }
 
-// TestRouterPartialFailureMatrix is the scatter-gather stress from the
-// issue: a fleet where one replica always 503s its queries, one is so
-// slow it would time out, and one serves the wrong dataset. The router
-// must exclude the mismatch at enrollment, absorb the 503s with retries,
-// rescue the slow shard with a hedge, and still answer correctly.
+// TestRouterPartialFailureMatrix is the failure stress: a fleet where one
+// replica always 503s its queries, one is so slow it would time out, and
+// one serves the wrong dataset. The router must exclude the mismatch at
+// enrollment, absorb the 503s with a retry, rescue the slow replica with
+// a hedge, and still answer correctly.
 func TestRouterPartialFailureMatrix(t *testing.T) {
 	const nodes, seed = 250, int64(7)
 	healthy := newReplicaServer(t, nodes, seed)
@@ -486,25 +582,26 @@ func TestRouterPartialFailureMatrix(t *testing.T) {
 		t.Fatalf("healthy_replicas %v, want 3 (healthz of faulty/slow replicas is clean)", h["healthy_replicas"])
 	}
 
-	// Sources spread across all three enrolled replicas.
+	// A source set whose rotation runs faulty, slow, healthy: the owner's
+	// 503 forces a retry onto the slow replica, whose stall forces a hedge
+	// onto the healthy one.
 	rg := rt.snapshot()
 	var sources []int32
-	owners := map[string]bool{}
-	for s := int32(1); s <= int32(nodes) && len(sources) < 9; s++ {
-		u := rg.owner(s).url
-		if !owners[u] || len(sources) < 6 {
-			owners[u] = true
-			sources = append(sources, s)
+	for s := int32(1); s+5 <= int32(nodes) && sources == nil; s++ {
+		set := []int32{s, s + 1, s + 2, s + 3, s + 4, s + 5}
+		rot := rg.rotation(affinityKey("", set))
+		if rot[0].url == faultyFront.URL && rot[1].url == slow.URL && rot[2].url == healthy.URL {
+			sources = set
 		}
 	}
-	if len(owners) != 3 {
-		t.Fatalf("sources cover %d replicas, want 3", len(owners))
+	if sources == nil {
+		t.Fatal("no source set routes faulty, slow, healthy")
 	}
 
 	single := newReplicaServer(t, nodes, seed)
 	body := map[string]any{"algorithm": "srch", "sources": sources}
 	start := time.Now()
-	resp, got := postRouterQuery(t, ts.URL, body)
+	resp, got := postQuery(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("matrix query status %d", resp.StatusCode)
 	}
@@ -518,15 +615,7 @@ func TestRouterPartialFailureMatrix(t *testing.T) {
 		t.Fatalf("no hedges recorded against the slow replica (got %d)", got.Hedges)
 	}
 
-	wresp, err := http.Post(single.URL+"/v1/query", "application/json", bytes.NewReader(mustJSON(t, body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wresp.Body.Close()
-	var want shardResponse
-	if err := json.NewDecoder(wresp.Body).Decode(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := postDirectQuery(t, single.URL, body)
 	for node, n := range want.SuccessorCounts {
 		if got.SuccessorCounts[node] != n {
 			t.Fatalf("node %d: %d successors via router, %d via single server", node, got.SuccessorCounts[node], n)
@@ -537,7 +626,7 @@ func TestRouterPartialFailureMatrix(t *testing.T) {
 func TestRouterMetricsExposition(t *testing.T) {
 	a := newReplicaServer(t, 200, 7)
 	_, ts := newFleetRouter(t, Options{}, a.URL)
-	postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1, 2, 3}})
+	postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1, 2, 3}})
 	getReach(t, ts.URL, 1, 2)
 
 	scrape := func() map[string]*obsv.Family {
@@ -560,7 +649,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		"tcr_retries_total", "tcr_hedges_total", "tcr_hedge_wins_total",
 		"tcr_replicas_excluded_total", "tcr_replicas_mismatched_total",
 		"tcr_replica_healthy", "tcr_healthy_replicas",
-		"tcr_request_duration_seconds", "tcr_scatter_fanout_shards",
+		"tcr_request_duration_seconds",
 	} {
 		if fams[name] == nil {
 			t.Errorf("family %s missing from /metrics", name)
@@ -570,7 +659,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		t.Fatalf("tcr_requests_total = %v", v)
 	}
 	before, _ := obsv.CounterValue(fams, "tcr_shard_requests_total")
-	postRouterQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{9}})
+	postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{9}})
 	after, _ := obsv.CounterValue(scrape(), "tcr_shard_requests_total")
 	if after <= before {
 		t.Fatalf("shard request counter not monotonic: %v -> %v", before, after)

@@ -78,11 +78,16 @@ func TestRouterMultiTenantFleet(t *testing.T) {
 	for _, tenant := range []string{"wide", "deep"} {
 		body := map[string]any{"algorithm": "btc", "sources": sources,
 			"graph": tenant, "include_successors": true}
-		resp, got := postRouterQuery(t, ts.URL, body)
+		resp, got := postQuery(t, ts.URL, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tenant %s: router query status %d", tenant, resp.StatusCode)
 		}
-		want := postShardQuery(t, solo.URL, body)
+		want := postDirectQuery(t, solo.URL, body)
+		// A multi-graph tcserve names the tenant in its reply; the routed
+		// reply must carry the same graph field.
+		if got.Graph != want.Graph || got.Graph != tenant {
+			t.Fatalf("tenant %s: routed reply graph %q, solo replica %q", tenant, got.Graph, want.Graph)
+		}
 		for node, n := range want.SuccessorCounts {
 			if got.SuccessorCounts[node] != n {
 				t.Fatalf("tenant %s: successor count of %d: router %d != replica %d",
@@ -131,8 +136,8 @@ func TestRouterMultiTenantFleet(t *testing.T) {
 	// Salted routing: the same source set routes independently per tenant,
 	// and both tenants' plans stay pinned (same rotation every time).
 	rg := rt.snapshot()
-	wideOwner := rg.owner(7 ^ tenantSalt("wide"))
-	deepOwner := rg.owner(7 ^ tenantSalt("deep"))
+	wideOwner := ownerOf(rg, affinityKey("wide", sources))
+	deepOwner := ownerOf(rg, affinityKey("deep", sources))
 	if wideOwner == nil || deepOwner == nil {
 		t.Fatal("ring has no owners")
 	}

@@ -12,6 +12,10 @@ import (
 // maxArcBody mirrors tcserve's mutation-batch body bound.
 const maxArcBody = 1 << 20
 
+// maxQueryBody mirrors tcserve's query body bound. The router reads a
+// query's whole body before forwarding it, so the read must be bounded.
+const maxQueryBody = 1 << 20
+
 // replicaArcResponse mirrors tcserve's POST /v1/arc reply.
 type replicaArcResponse struct {
 	Seq         int64  `json:"seq"`
@@ -39,7 +43,7 @@ type arcRouterResponse struct {
 }
 
 // handleArc fans one mutation batch out to EVERY enrolled replica — reads
-// scatter for throughput, writes replicate for consistency. The batch
+// route to one owner for cache affinity, writes replicate for consistency. The batch
 // succeeds only when all replicas acknowledge it with matching post-batch
 // fingerprints; any missing ack fails the whole batch with a retryable
 // error (mutations are idempotent, so the client resends the batch until

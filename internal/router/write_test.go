@@ -280,7 +280,7 @@ func TestRouterLagExclusion(t *testing.T) {
 	}
 	owners := map[string]bool{}
 	for s := int32(1); s <= 50; s++ {
-		owners[rg.owner(s).url] = true
+		owners[ownerOf(rg, s).url] = true
 	}
 	if len(owners) != 1 || !owners[a.URL] {
 		t.Fatalf("read ring owners %v, want only the caught-up replica %s", owners, a.URL)
@@ -303,7 +303,7 @@ func TestRouterLagExclusion(t *testing.T) {
 	rt.CheckNow(context.Background())
 	owners = map[string]bool{}
 	for s := int32(1); s <= 50; s++ {
-		owners[rt.snapshot().owner(s).url] = true
+		owners[ownerOf(rt.snapshot(), s).url] = true
 	}
 	if len(owners) != 3 {
 		t.Fatalf("ring owners after catch-up %v, want all 3 replicas", owners)

@@ -690,7 +690,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.InFlight.Add(1)
 	defer s.met.InFlight.Add(-1)
 	var qr queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&qr); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.fail(w, &httpError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("query body exceeds %d bytes", maxQueryBody)})
+			return
+		}
 		s.fail(w, badRequest("bad request body: %v", err))
 		return
 	}
@@ -947,6 +953,10 @@ type arcResponse struct {
 // maxArcBody bounds a mutation-batch request body. Batches are also capped
 // in op count by the dynamic service; this guards the decoder itself.
 const maxArcBody = 1 << 20
+
+// maxQueryBody bounds a POST /v1/query body, so no request can make the
+// decoder buffer more than this.
+const maxQueryBody = 1 << 20
 
 // handleArc applies one mutation batch — inserts and deletes of arcs —
 // against the dynamic graph service. The whole batch is validated before

@@ -272,6 +272,31 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestQueryBodyLimit: a query body over maxQueryBody is refused with 413
+// and never reaches the engine; a body just inside the bound is served.
+func TestQueryBodyLimit(t *testing.T) {
+	s, ts, _ := newTestServer(t, 100, Options{})
+	pad := bytes.Repeat([]byte(" "), maxQueryBody)
+	query := func(padding []byte) int {
+		body := append(append([]byte(`{"algorithm":"srch","sources":[1`), padding...), "]}"...)
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := query(pad); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized query body: status %d, want 413", code)
+	}
+	if n := s.met.Queries.Load(); n != 0 {
+		t.Fatalf("oversized body ran %d queries, want 0", n)
+	}
+	if code := query(pad[:maxQueryBody-64]); code != http.StatusOK {
+		t.Fatalf("query body under the bound: status %d, want 200", code)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts, db := newTestServer(t, 200, Options{})
 	var h struct {
